@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"deepnote/internal/sched"
 	"deepnote/internal/sig"
 	"deepnote/internal/units"
 )
@@ -193,15 +192,8 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 	sort.SliceStable(fixes, func(i, j int) bool { return fixes[i].At < fixes[j].At })
 	spec.Fixes = fixes
 
-	// Predicted blast amplitude per (fix, drive), cached once like the
-	// per-(speaker, drive) attack transfer functions.
-	var tf sched.TransferCache
-	tf.Ensure(len(fixes), len(c.drives), func(f, di int) float64 {
-		d := c.drives[di]
-		_, amp := c.cfg.Layout.PredictedAmp(fixes[f].Pos, fixes[f].Err, fixes[f].Tone, d.container, d.asm, c.model)
-		return amp
-	})
-	threshold := *spec.Margin * c.model.ServoLockFrac
+	model := c.pool.model
+	threshold := *spec.Margin * model.ServoLockFrac
 
 	C := len(c.cfg.Layout.Containers)
 	dpc := c.cfg.DrivesPerContainer
@@ -216,9 +208,12 @@ func (c *Cluster) SetDefense(spec DefenseSpec) error {
 	for f := 0; f < len(fixes); {
 		at := int64(fixes[f].At + *spec.React)
 		for f < len(fixes) && int64(fixes[f].At+*spec.React) == at {
-			for di := range c.drives {
-				if tf.Gain(f, di) >= threshold {
-					hot[c.drives[di].container] = true
+			// Predicted blast amplitude at every drive, through the same
+			// transfer chain the attack simulation caches per speaker.
+			for _, d := range c.pool.stacks {
+				fx := fixes[f]
+				if _, amp := c.cfg.Layout.PredictedAmp(fx.Pos, fx.Err, fx.Tone, d.Container, d.asm, model); amp >= threshold {
+					hot[d.Container] = true
 				}
 			}
 			f++

@@ -6,6 +6,11 @@
 // the facility-scale victim the paper's introduction frames: an adversary
 // does not silence one Barracuda in a tank, they try to silence a
 // redundant cluster.
+//
+// The per-drive stacks live in a Pool, which the geo tier
+// (internal/fleet) serves on as well: the pool owns construction,
+// preload, the per-epoch drain and attack schedules, and each tier keeps
+// its own request arena and its own fold and planning policies.
 package cluster
 
 import (
@@ -110,6 +115,28 @@ func (c *Coder) Encode(data []byte) [][]byte {
 		shards[c.data+i] = p
 	}
 	return shards
+}
+
+// Stripes encodes objects 0..objects−1 of ObjectPayload content, each
+// size bytes: the stripe cache a serving tier preloads and verifies GETs
+// against.
+func (c *Coder) Stripes(objects, size int) [][][]byte {
+	stripes := make([][][]byte, objects)
+	for o := range stripes {
+		stripes[o] = c.Encode(ObjectPayload(o, size))
+	}
+	return stripes
+}
+
+// ObjectPayload is the deterministic content of object o. Client PUTs
+// write the same bytes, so any successful read — direct or reconstructed
+// — must match exactly; a mismatch is counted as a corrupt read.
+func ObjectPayload(o, size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte((o*131 + i*7 + (i>>8)*13) ^ 0x5a)
+	}
+	return b
 }
 
 // Reconstruct fills in missing (nil) shards in place from any k present

@@ -236,9 +236,9 @@ func (l Layout) PredictedAmp(pos Vec3, slack units.Distance, tone sig.Tone, c in
 // Same-frequency sources add coherently (in phase — the attacker's
 // worst case); distinct frequencies ride along as hdd partials, the
 // composite vibration path. active selects which speakers are keyed on;
-// nil means all. Both the direct chain walk (VibrationAt) and the
-// cached-transfer-function path superpose through this one helper, so
-// the two agree bit-exactly.
+// nil means all. Both the direct chain walk (VibrationAt) and each
+// drive stack's cached gain row (Pool) superpose through this one
+// helper, so the two agree bit-exactly.
 func superposeComponents(n int, freq func(s int) units.Frequency, amp func(s int) float64, active []bool) hdd.Vibration {
 	type comp struct {
 		f units.Frequency
@@ -297,14 +297,4 @@ func (l Layout) VibrationAt(c int, asm enclosure.Assembly, model hdd.Model, acti
 	return superposeComponents(len(l.Speakers),
 		func(s int) units.Frequency { return freqs[s] },
 		func(s int) float64 { return amps[s] }, active)
-}
-
-// SuperposeGains is the exported entry to the superposition helper for
-// other tiers (internal/fleet) that cache per-(speaker, drive) transfer
-// gains themselves: n sources with per-source normalized frequency and
-// cached gain, masked by active (nil = all on). It goes through the same
-// code path as VibrationAt and the cluster serving engine, so every tier
-// agrees bit-exactly on what a speaker set does to a drive.
-func SuperposeGains(n int, freq func(s int) units.Frequency, gain func(s int) float64, active []bool) hdd.Vibration {
-	return superposeComponents(n, freq, gain, active)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -50,13 +51,20 @@ func TestReadOnlyWorkload(t *testing.T) {
 	}
 }
 
-// TestReadFractionOutOfRangeRejected: fractions outside [0, 1] are
+// TestReadFractionOutOfRangeRejected: fractions outside [0, 1] (and NaN,
+// which every comparison lets through) and non-finite rates are
 // configuration errors, not clamped or silently defaulted.
 func TestReadFractionOutOfRangeRejected(t *testing.T) {
 	c := buildServing(t, testConfig(0))
-	for _, rf := range []float64{-0.1, 1.5} {
+	for _, rf := range []float64{-0.1, 1.5, math.NaN()} {
 		if _, err := c.Serve(TrafficSpec{Requests: 10, ReadFraction: Ptr(rf)}); err == nil {
 			t.Fatalf("ReadFraction %v accepted, want error", rf)
+		}
+	}
+	// A non-finite rate would put every arrival at int64(NaN) or 0.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := c.Serve(TrafficSpec{Requests: 10, Rate: rate}); err == nil {
+			t.Fatalf("Rate %v accepted, want error", rate)
 		}
 	}
 }
@@ -109,19 +117,19 @@ func TestSeedZeroReproduces(t *testing.T) {
 func TestArrivalStrictlyMonotoneAt1e8(t *testing.T) {
 	const n = 100_000_000
 	const rate = 1e6
-	prev := arrivalNS(0, rate)
+	prev := ArrivalNS(0, rate)
 	if prev != 0 {
 		t.Fatalf("arrival(0) = %d, want 0", prev)
 	}
 	for i := 1; i <= n; i++ {
-		at := arrivalNS(i, rate)
+		at := ArrivalNS(i, rate)
 		if at <= prev {
 			t.Fatalf("arrival(%d) = %d not after arrival(%d) = %d", i, at, i-1, prev)
 		}
 		prev = at
 	}
 	// The exact-rate path is exact: request i arrives at i/rate seconds.
-	if got := arrivalNS(n, rate); got != int64(n/rate)*int64(time.Second) {
+	if got := ArrivalNS(n, rate); got != int64(n/rate)*int64(time.Second) {
 		t.Fatalf("arrival(%d) = %d, want %d", n, got, int64(n/rate)*int64(time.Second))
 	}
 }
@@ -132,7 +140,7 @@ func TestArrivalMonotoneFractionalRate(t *testing.T) {
 	for _, rate := range []float64{0.5, 3.7, 2499.5} {
 		prev := int64(-1)
 		for i := 0; i < 200_000; i++ {
-			at := arrivalNS(i, rate)
+			at := ArrivalNS(i, rate)
 			if at < prev {
 				t.Fatalf("rate %v: arrival(%d) = %d below arrival(%d) = %d", rate, i, at, i-1, prev)
 			}
@@ -141,9 +149,38 @@ func TestArrivalMonotoneFractionalRate(t *testing.T) {
 	}
 }
 
+// TestNearestRank pins the one latency-quantile rule both serving tiers
+// report: over samples 1..n, P50 is sample ceil(n/2) and P99 sample
+// ceil(0.99·n), the ranks the cluster tier's old integer index formulas
+// (n−1)/2 and (99n+99)/100−1 selected.
+func TestNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		p50, p99 time.Duration
+	}{
+		{0, 0, 0},
+		{1, 1, 1},
+		{2, 1, 2},
+		{99, 50, 99},
+		{100, 50, 99},
+		{101, 51, 100},
+	} {
+		sorted := make([]time.Duration, tc.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i + 1)
+		}
+		if got := NearestRank(sorted, 0.50); got != tc.p50 {
+			t.Errorf("n=%d: P50 = %d, want %d", tc.n, got, tc.p50)
+		}
+		if got := NearestRank(sorted, 0.99); got != tc.p99 {
+			t.Errorf("n=%d: P99 = %d, want %d", tc.n, got, tc.p99)
+		}
+	}
+}
+
 // TestCachedTransferMatchesDirect is the differential gate for the
-// transfer-function cache: for every drive, schedule step, and active
-// mask, the vibration superposed from cached per-(speaker, drive) gains
+// per-stack gain rows: for every drive, schedule step, and active mask,
+// the vibration superposed from each stack's cached per-speaker gains
 // must equal the direct per-op chain walk (Layout.VibrationAt)
 // bit-for-bit, across a grid of attack tones spanning the drive's
 // response bands.
@@ -172,9 +209,9 @@ func TestCachedTransferMatchesDirect(t *testing.T) {
 				stepMask = []bool{true, true, true, true} // SetSchedule: nil = all off
 			}
 			c.SetSchedule([]ScheduleStep{{At: 0, Active: stepMask}})
-			for di, d := range c.drives {
-				want := cfg.Layout.VibrationAt(d.container, d.asm, c.model, stepMask)
-				got := c.vibs[0][di]
+			for di, d := range c.pool.stacks {
+				want := cfg.Layout.VibrationAt(d.Container, d.asm, c.pool.model, stepMask)
+				got := d.vibs[0]
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("freq %v mask %d drive %d: cached vibration %+v != direct %+v",
 						freq, mi, di, got, want)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -191,8 +192,19 @@ func TestFleetWorkloadEndpoints(t *testing.T) {
 	if res.Puts != 0 || res.Gets != 60 {
 		t.Fatalf("read-only workload: gets=%d puts=%d", res.Gets, res.Puts)
 	}
-	if _, err := f.Serve(TrafficSpec{Requests: 10, ReadFraction: cluster.Ptr(1.5)}); err == nil {
-		t.Fatal("out-of-range ReadFraction accepted")
+	// NaN slips through every range comparison: as a ReadFraction it
+	// made the workload all GETs, as a DiurnalAmp it routed every
+	// request to site 0, and as a Rate it put arrivals at int64(NaN).
+	for i, bad := range []TrafficSpec{
+		{Requests: 10, ReadFraction: cluster.Ptr(1.5)},
+		{Requests: 10, ReadFraction: cluster.Ptr(math.NaN())},
+		{Requests: 10, DiurnalAmp: math.NaN()},
+		{Requests: 10, Rate: math.NaN()},
+		{Requests: 10, Rate: math.Inf(1)},
+	} {
+		if _, err := f.Serve(bad); err == nil {
+			t.Fatalf("invalid workload %d accepted", i)
+		}
 	}
 }
 

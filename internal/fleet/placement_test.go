@@ -29,8 +29,8 @@ func TestAwarePlacementSpreadsBlastRadii(t *testing.T) {
 				t.Fatalf("object %d: two shards on node %d", o, ni)
 			}
 			seen[ni] = true
-			s := f.nodes[ni].site
-			perSite[s] = append(perSite[s], f.nodes[ni].container)
+			s := nodeSite(f, ni)
+			perSite[s] = append(perSite[s], f.pool.Stack(ni).Container)
 		}
 		for s, cts := range perSite {
 			if len(cts) > q {
@@ -53,6 +53,15 @@ func TestAwarePlacementSpreadsBlastRadii(t *testing.T) {
 	}
 }
 
+// nodeSite returns the site whose node range holds global node ni.
+func nodeSite(f *Fleet, ni int) int {
+	s := 0
+	for s+1 < len(f.siteBase) && f.siteBase[s+1] <= ni {
+		s++
+	}
+	return s
+}
+
 // TestNaivePlacementIsOneBlastRadius: the baseline keeps all n shards on
 // the home site in one contiguous container run — latency-optimal and
 // exactly what a single acoustic blast erases.
@@ -67,12 +76,12 @@ func TestNaivePlacementIsOneBlastRadius(t *testing.T) {
 		home := f.homeSite(o)
 		for j := 0; j < n; j++ {
 			ni := f.shardNode(o, j)
-			if f.nodes[ni].site != home {
+			if nodeSite(f, ni) != home {
 				t.Fatalf("object %d shard %d left home site %d", o, j, home)
 			}
 			if j > 0 {
-				prev := f.nodes[f.shardNode(o, j-1)].container
-				if f.nodes[ni].container != (prev+1)%f.siteSize[home] {
+				prev := f.pool.Stack(f.shardNode(o, j-1)).Container
+				if f.pool.Stack(ni).Container != (prev+1)%f.siteSize[home] {
 					t.Fatalf("object %d: naive shards not contiguous at %d", o, j)
 				}
 			}

@@ -2,14 +2,13 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"deepnote/internal/cluster"
 	"deepnote/internal/netstore"
-	"deepnote/internal/parallel"
 	"deepnote/internal/sched"
 )
 
@@ -65,21 +64,21 @@ type wanOp struct {
 }
 
 // Serve runs the global workload through the fleet and returns the
-// ledger. The engine is the cluster tier's epoch loop lifted to WAN
-// scale: issue ops serially (sampling WAN delays by pure per-op hash),
-// drain every node's queue concurrently on its own clock, fold outcomes
-// serially in observation order (breakers, shard accounting), then plan
-// the next failover waves — repeat until no request is pending.
+// ledger. Each epoch issues ops serially (sampling WAN delays by pure
+// per-op hash), drains every node's queue concurrently on the shared
+// drive-stack pool, folds outcomes serially in gateway observation order
+// (breakers, shard accounting), then plans the next failover waves —
+// repeat until no request is pending.
 func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 	spec, err := spec.withDefaults()
 	if err != nil {
 		return Result{}, err
 	}
-	if f.origin.IsZero() {
+	if !f.pool.Preloaded() {
 		return Result{}, errors.New("fleet: Serve before Preload")
 	}
 	n, k := f.coder.TotalShards(), f.coder.DataShards()
-	window := time.Duration(arrivalNS(spec.Requests, spec.Rate))
+	window := time.Duration(cluster.ArrivalNS(spec.Requests, spec.Rate))
 	f.genRequests(spec, window)
 	f.resetBreakers()
 	f.ops = f.ops[:0]
@@ -104,7 +103,7 @@ func (f *Fleet) Serve(spec TrafficSpec) (Result, error) {
 
 	folded := 0
 	for len(pending) > 0 {
-		if err := f.drainNodes(); err != nil {
+		if err := f.pool.Drain(f.dispatch); err != nil {
 			return Result{}, err
 		}
 		folded = f.combine(folded, &res)
@@ -129,7 +128,7 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 	if put {
 		op.flags |= oPut
 	}
-	if site := f.nodes[ni].site; site != int(r.site) {
+	if site := f.shardSite(int(r.object), j); site != int(r.site) {
 		li := f.linkIdx(int(r.site), site)
 		op.link = int16(li)
 		res.CrossSiteOps++
@@ -154,42 +153,27 @@ func (f *Fleet) issueOp(ri int32, j int, at int64, put bool, res *Result) {
 		out, ret := f.wanDelays(li, uint64(opIdx), at, put)
 		op.retDelay = ret
 		f.ops = append(f.ops, op)
-		f.nodes[ni].runner.Queue.Push(at+out, uint64(opIdx))
+		f.pool.Stack(ni).Push(at+out, uint64(opIdx))
 		return
 	}
 	f.ops = append(f.ops, op)
-	f.nodes[ni].runner.Queue.Push(at, uint64(opIdx))
+	f.pool.Stack(ni).Push(at, uint64(opIdx))
 }
 
-// drainNodes runs every node's event queue to empty, fanned out across
-// workers. Nodes share no mutable state — each writes only its own ops
-// entries and its own mechanics.
-func (f *Fleet) drainNodes() error {
-	_, err := parallel.Run(context.Background(), parallel.Indices(len(f.nodes)), f.cfg.Workers,
-		func(_ context.Context, ni int, _ int) (struct{}, error) {
-			nd := f.nodes[ni]
-			nd.runner.Run(f.origin, func(it sched.Item) { f.dispatch(ni, it) })
-			return struct{}{}, nil
-		})
-	return err
-}
-
-// dispatch executes one shard op on its node, verifying GET bytes
+// dispatch executes one shard op on node nd, verifying GET bytes
 // eagerly against the encoded stripe (the end-to-end checksum: a
 // vibration-corrupted sector fails the op rather than poisoning the
 // decode).
-func (f *Fleet) dispatch(ni int, it sched.Item) {
-	nd := f.nodes[ni]
+func (f *Fleet) dispatch(_ int, nd *cluster.Stack, it sched.Item) {
 	op := &f.ops[it.ID]
 	r := &f.reqs[op.req]
-	f.applyAttack(ni, nd.clock.Now().Sub(f.origin))
 	if op.flags&oPut != 0 {
-		_, resp := nd.server.HandleObjectShared(netstore.Put, int(r.object), f.stripes[r.object][op.shard])
+		_, resp := nd.Server.HandleObjectShared(netstore.Put, int(r.object), f.stripes[r.object][op.shard])
 		if resp.Err == nil {
 			op.bits |= bOK
 		}
 	} else {
-		data, resp := nd.server.HandleObjectShared(netstore.Get, int(r.object), nil)
+		data, resp := nd.Server.HandleObjectShared(netstore.Get, int(r.object), nil)
 		if resp.Err == nil {
 			if bytes.Equal(data, f.stripes[r.object][op.shard]) {
 				op.bits |= bOK
@@ -198,7 +182,7 @@ func (f *Fleet) dispatch(ni int, it sched.Item) {
 			}
 		}
 	}
-	op.end = int64(nd.clock.Now().Sub(f.origin)) + op.retDelay
+	op.end = nd.Elapsed() + op.retDelay
 }
 
 // combine folds every op issued since the last fold, in gateway
@@ -419,11 +403,10 @@ func (f *Fleet) settle(res *Result) error {
 	res.MinPutShards = minPut
 	all := make([]time.Duration, 0, len(f.latGet)+len(f.latPut))
 	all = append(append(all, f.latGet...), f.latPut...)
-	res.P50, res.P99 = quantile(all, 0.50), quantile(all, 0.99)
-	for _, l := range all {
-		if l > res.Max {
-			res.Max = l
-		}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	res.P50, res.P99 = cluster.NearestRank(all, 0.50), cluster.NearestRank(all, 0.99)
+	if len(all) > 0 {
+		res.Max = all[len(all)-1]
 	}
 	res.Span = time.Duration(span)
 	if span > 0 {
@@ -457,7 +440,7 @@ func (f *Fleet) auditRead(r *reqState, res *Result) error {
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(joined, objectPayload(int(r.object), f.cfg.ObjectSize)) {
+	if !bytes.Equal(joined, cluster.ObjectPayload(int(r.object), f.cfg.ObjectSize)) {
 		res.CorruptReads++
 	}
 	return nil

@@ -20,7 +20,9 @@ type TrafficSpec struct {
 	// Requests is the total number of client requests (default 2000).
 	Requests int
 	// Rate is the global open-loop arrival rate per second (default
-	// 1500).
+	// 1500; NaN and ±Inf are rejected). Requests, Rate, ReadFraction,
+	// ZipfS/ZipfV and Seed resolve and validate exactly as in
+	// cluster.TrafficSpec.Resolve.
 	Rate float64
 	// ReadFraction is the GET share; nil means 0.9, an explicit
 	// cluster.Ptr(0.0) is a pure-write workload.
@@ -28,8 +30,8 @@ type TrafficSpec struct {
 	// ZipfS and ZipfV shape the key popularity (defaults 1.2 and 1).
 	ZipfS, ZipfV float64
 	// DiurnalAmp is the amplitude of each region's load swing around its
-	// equal share, in [0, 1] (default 0.6; 0 disables the diurnal curve
-	// — regions stay uniform).
+	// equal share, in [0, 1]; NaN is rejected (0 disables the diurnal
+	// curve — regions stay uniform).
 	DiurnalAmp float64
 	// Period is the diurnal cycle length (default: the serving window,
 	// so one run sees one full planetary rotation).
@@ -40,29 +42,17 @@ type TrafficSpec struct {
 }
 
 func (s TrafficSpec) withDefaults() (TrafficSpec, error) {
-	if s.Requests <= 0 {
-		s.Requests = 2000
+	base, err := cluster.TrafficSpec{
+		Requests: s.Requests, Rate: s.Rate, ReadFraction: s.ReadFraction,
+		ZipfS: s.ZipfS, ZipfV: s.ZipfV, Seed: s.Seed,
+	}.Resolve(2000, 1500, 7)
+	if err != nil {
+		return s, fmt.Errorf("fleet: %w", err)
 	}
-	if s.Rate <= 0 {
-		s.Rate = 1500
-	}
-	if s.ReadFraction == nil {
-		s.ReadFraction = cluster.Ptr(0.9)
-	}
-	if *s.ReadFraction < 0 || *s.ReadFraction > 1 {
-		return s, fmt.Errorf("fleet: ReadFraction %v outside [0, 1]", *s.ReadFraction)
-	}
-	if s.ZipfS <= 1 {
-		s.ZipfS = 1.2
-	}
-	if s.ZipfV < 1 {
-		s.ZipfV = 1
-	}
-	if s.DiurnalAmp < 0 || s.DiurnalAmp > 1 {
+	s.Requests, s.Rate, s.ReadFraction = base.Requests, base.Rate, base.ReadFraction
+	s.ZipfS, s.ZipfV, s.Seed = base.ZipfS, base.ZipfV, base.Seed
+	if math.IsNaN(s.DiurnalAmp) || s.DiurnalAmp < 0 || s.DiurnalAmp > 1 {
 		return s, fmt.Errorf("fleet: DiurnalAmp %v outside [0, 1]", s.DiurnalAmp)
-	}
-	if s.Seed == nil {
-		s.Seed = cluster.Ptr(int64(7))
 	}
 	return s, nil
 }
@@ -140,27 +130,14 @@ type Result struct {
 }
 
 // GetAvailability is the fraction of GETs served.
-func (r Result) GetAvailability() float64 {
-	if r.Gets == 0 {
-		return 1
-	}
-	return float64(r.GetOK) / float64(r.Gets)
-}
+func (r Result) GetAvailability() float64 { return cluster.ServedFraction(r.GetOK, r.Gets) }
 
 // PutAvailability is the fraction of PUTs acked.
-func (r Result) PutAvailability() float64 {
-	if r.Puts == 0 {
-		return 1
-	}
-	return float64(r.PutOK) / float64(r.Puts)
-}
+func (r Result) PutAvailability() float64 { return cluster.ServedFraction(r.PutOK, r.Puts) }
 
 // Availability is the overall served fraction.
 func (r Result) Availability() float64 {
-	if r.Requests == 0 {
-		return 1
-	}
-	return float64(r.GetOK+r.PutOK) / float64(r.Requests)
+	return cluster.ServedFraction(r.GetOK+r.PutOK, r.Requests)
 }
 
 // WindowStats re-cuts the ledger over one time window.
@@ -171,12 +148,7 @@ type WindowStats struct {
 }
 
 // GetAvailability is the windowed GET served fraction.
-func (w WindowStats) GetAvailability() float64 {
-	if w.Gets == 0 {
-		return 1
-	}
-	return float64(w.GetOK) / float64(w.Gets)
-}
+func (w WindowStats) GetAvailability() float64 { return cluster.ServedFraction(w.GetOK, w.Gets) }
 
 // Window cuts availability and latency quantiles over requests arriving
 // in [from, to) — e.g. exactly the facility-attack interval, where the
@@ -202,26 +174,9 @@ func (r Result) Window(from, to time.Duration) WindowStats {
 		// Time-to-verdict: failures count at the moment they failed.
 		lat = append(lat, o.Latency)
 	}
-	w.P50, w.P99 = quantile(lat, 0.50), quantile(lat, 0.99)
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	w.P50, w.P99 = cluster.NearestRank(lat, 0.50), cluster.NearestRank(lat, 0.99)
 	return w
-}
-
-// quantile returns the q-quantile of lat (nearest-rank on a sorted
-// copy); 0 on an empty slice.
-func quantile(lat []time.Duration, q float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // genRequests fills f.reqs with the serial, seeded workload schedule.
@@ -240,7 +195,7 @@ func (f *Fleet) genRequests(spec TrafficSpec, window time.Duration) {
 	}
 	f.reqs = f.reqs[:spec.Requests]
 	for i := range f.reqs {
-		at := arrivalNS(i, spec.Rate)
+		at := cluster.ArrivalNS(i, spec.Rate)
 		// Phase-shifted diurnal share: region s peaks when the sun (or
 		// the evening Netflix hour) is over it.
 		tfrac := float64(at) / float64(period)
@@ -272,15 +227,4 @@ func (f *Fleet) genRequests(spec TrafficSpec, window time.Duration) {
 			flags:    flags,
 		}
 	}
-}
-
-// arrivalNS returns request i's open-loop arrival offset in integer
-// nanoseconds (integer path for whole-number rates so long schedules
-// stay strictly monotone — the cluster tier's convention).
-func arrivalNS(i int, rate float64) int64 {
-	if rate >= 1 && rate <= 1e9 && rate == math.Trunc(rate) {
-		r := int64(rate)
-		return int64(i)/r*int64(time.Second) + int64(i)%r*int64(time.Second)/r
-	}
-	return int64(math.Round(float64(i) / rate * 1e9))
 }

@@ -1,7 +1,7 @@
 // Package sched is the discrete-event core of the facility-scale
 // simulation: a deterministic binary-heap event queue over the virtual
-// time base (simclock), plus a cache for precomputed source→target
-// transfer functions.
+// time base (simclock), a runner that drains it against one resource's
+// clock, and the per-event hash both serving tiers draw from.
 //
 // # Event model
 //
@@ -17,29 +17,10 @@
 // order — so an arrival schedule that collides at nanosecond granularity
 // still dispatches deterministically.
 //
-// # Transfer-function cache
-//
-// TransferCache memoizes the per-(source, target) gain of a physical
-// transfer chain — in the Deep Note facility, the acoustic path from an
-// attacker speaker through water, container wall, and mount to one
-// drive's off-track response. Walking that chain costs dozens of
-// transcendental evaluations; the serving hot path must never do it
-// per operation. The invalidation rules:
-//
-//   - Geometry change (sources or targets added, removed, or moved)
-//     invalidates the whole cache. Ensure detects dimension changes
-//     itself; a same-shape move must call Invalidate explicitly.
-//   - Excitation-set change (a source's tone frequency or drive level
-//     re-tuned) invalidates the rows of the affected sources; since the
-//     cache does not track tones, callers signal this with Invalidate.
-//   - Keying sources on and off does NOT invalidate: an active-set mask
-//     only selects which cached gains are superposed. This is what makes
-//     attack schedules free — any on/off pattern over a fixed speaker
-//     set reuses the same matrix.
-//
-// The cluster package builds the cache once at construction (its layout
-// and speaker tones are immutable afterwards) and superposes cached
-// gains per schedule step.
+// One Runner per drive stack lives in cluster.Pool, which the
+// single-site cluster tier and the geo fleet tier both serve on: the
+// pool drains every stack's queue per epoch, and each tier folds the
+// results and plans the next epoch by its own policy.
 package sched
 
 import (
@@ -107,15 +88,6 @@ func (q *Queue) Push(at int64, id uint64) uint64 {
 	q.items = append(q.items, Item{At: at, Seq: seq, ID: id})
 	q.siftUp(len(q.items) - 1)
 	return seq
-}
-
-// Peek returns the next event without removing it; ok is false when the
-// queue is empty.
-func (q *Queue) Peek() (Item, bool) {
-	if len(q.items) == 0 {
-		return Item{}, false
-	}
-	return q.items[0], true
 }
 
 // Pop removes and returns the next event in (At, Seq) order; ok is
@@ -189,53 +161,6 @@ func (r *Runner) Run(origin time.Time, handle func(Item)) {
 		}
 		handle(it)
 	}
-}
-
-// TransferCache memoizes per-(source, target) transfer gains. See the
-// package documentation for the invalidation rules. The zero value is an
-// empty, invalid cache.
-type TransferCache struct {
-	sources, targets int
-	gains            []float64
-	built            bool
-}
-
-// Built reports whether the cache currently holds a valid matrix.
-func (c *TransferCache) Built() bool { return c.built }
-
-// Invalidate drops the cached matrix. The next Ensure rebuilds it.
-func (c *TransferCache) Invalidate() { c.built = false }
-
-// Ensure makes the cache valid for a sources×targets geometry, calling
-// fill exactly once per pair on (re)build. A dimension change implies a
-// geometry change and rebuilds; a same-shape geometry or excitation
-// change must be signaled with Invalidate first.
-func (c *TransferCache) Ensure(sources, targets int, fill func(source, target int) float64) {
-	if c.built && c.sources == sources && c.targets == targets {
-		return
-	}
-	c.sources, c.targets = sources, targets
-	if need := sources * targets; cap(c.gains) < need {
-		c.gains = make([]float64, need)
-	} else {
-		c.gains = c.gains[:need]
-	}
-	for s := 0; s < sources; s++ {
-		for t := 0; t < targets; t++ {
-			c.gains[s*targets+t] = fill(s, t)
-		}
-	}
-	c.built = true
-}
-
-// Gain returns the cached source→target gain. Callers must Ensure
-// first; an unbuilt cache panics (a zero gain would silently disarm the
-// attack model).
-func (c *TransferCache) Gain(source, target int) float64 {
-	if !c.built {
-		panic("sched: TransferCache.Gain before Ensure")
-	}
-	return c.gains[source*c.targets+target]
 }
 
 // Hash64 is the deterministic per-event hash: a splitmix64 finalization

@@ -121,58 +121,3 @@ func TestRunnerAdvancesClockMonotonically(t *testing.T) {
 		t.Fatalf("dispatch clocks %v, want [50 130 150]", at)
 	}
 }
-
-// TestTransferCacheFillOnce: Ensure fills each pair exactly once and
-// serves subsequent lookups from the matrix.
-func TestTransferCacheFillOnce(t *testing.T) {
-	var c TransferCache
-	calls := 0
-	fill := func(s, d int) float64 {
-		calls++
-		return float64(s*10 + d)
-	}
-	c.Ensure(3, 4, fill)
-	if calls != 12 {
-		t.Fatalf("fill called %d times, want 12", calls)
-	}
-	c.Ensure(3, 4, fill) // no-op: same geometry
-	if calls != 12 {
-		t.Fatalf("valid cache refilled (%d calls)", calls)
-	}
-	if g := c.Gain(2, 3); g != 23 {
-		t.Fatalf("Gain(2,3) = %v, want 23", g)
-	}
-}
-
-// TestTransferCacheInvalidation: explicit invalidation and dimension
-// changes rebuild; nothing else does.
-func TestTransferCacheInvalidation(t *testing.T) {
-	var c TransferCache
-	calls := 0
-	fill := func(s, d int) float64 { calls++; return 1 }
-	c.Ensure(2, 2, fill)
-	c.Ensure(2, 3, fill) // geometry change: rebuild
-	if calls != 4+6 {
-		t.Fatalf("fill calls %d, want 10 after dimension change", calls)
-	}
-	c.Invalidate()
-	if c.Built() {
-		t.Fatal("cache still built after Invalidate")
-	}
-	c.Ensure(2, 3, fill)
-	if calls != 16 {
-		t.Fatalf("fill calls %d, want 16 after Invalidate", calls)
-	}
-}
-
-// TestTransferCacheGainBeforeEnsurePanics: reading an unbuilt cache is a
-// programming error, not a silent zero.
-func TestTransferCacheGainBeforeEnsurePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gain on unbuilt cache did not panic")
-		}
-	}()
-	var c TransferCache
-	c.Gain(0, 0)
-}
